@@ -48,10 +48,22 @@ use lookahead_memsys::MshrFile;
 #[cfg(feature = "obs")]
 use lookahead_obs::{self as obs, EventKind};
 use lookahead_trace::{StreamError, Trace, TraceCursor, TraceOp, TraceSource};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Cache line size used for MSHR merging (the paper's 16 bytes).
 const LINE_BYTES: u64 = 16;
+
+/// Number of [`MemOpKind`]s; `kind as usize` indexes per-kind tables.
+const KIND_COUNT: usize = 5;
+
+const KINDS: [MemOpKind; KIND_COUNT] = [
+    MemOpKind::Read,
+    MemOpKind::Write,
+    MemOpKind::Acquire,
+    MemOpKind::Release,
+    MemOpKind::Barrier,
+];
 
 /// Configuration of the dynamically scheduled processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,7 +182,7 @@ struct Entry {
     completion: Option<u64>,
     /// Entries waiting on this one's completion.
     waiters: Vec<u64>,
-    /// Index into the memop registry, for memory operations.
+    /// Memop id, for memory operations.
     mem: Option<usize>,
     /// Whether fetch is stalled waiting for this branch to resolve.
     fetch_blocker: bool,
@@ -188,7 +200,7 @@ enum MState {
     Issued(u64),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct MemOp {
     kind: MemOpKind,
     word_addr: u64,
@@ -216,6 +228,22 @@ struct MemOp {
 }
 
 impl MemOp {
+    /// Filler for ring slots that hold no live operation.
+    const VACANT: MemOp = MemOp {
+        kind: MemOpKind::Read,
+        word_addr: 0,
+        latency: 0,
+        wait: 0,
+        is_miss: false,
+        decode_time: 0,
+        entry_id: 0,
+        state: MState::Waiting,
+        #[cfg(feature = "obs")]
+        pc: 0,
+        head_since: None,
+        acquire_done: None,
+    };
+
     fn performed_by(&self, now: u64) -> bool {
         if self.kind.acquires() {
             self.acquire_done.is_some_and(|t| t <= now)
@@ -251,20 +279,50 @@ struct Engine<'a> {
     next_id: u64,
     slab: Vec<Option<Entry>>,
     slab_mask: u64,
-    /// All memory operations in program order; `mem_head` is the first
-    /// index that may still be unperformed.
+    /// Memory operations get dense program-order ids. Live ids are
+    /// `[mem_floor, mem_next)`, stored in a power-of-two ring indexed
+    /// by `id & mem_mask` that doubles when the live span fills it
+    /// (see [`Engine::push_memop`]).
     memops: Vec<MemOp>,
+    mem_mask: usize,
+    mem_floor: usize,
+    mem_next: usize,
+    /// The first id that may still be unperformed.
     mem_head: usize,
-    /// Window memops awaiting issue (loads/acquires/barriers), in
-    /// program order.
+    /// Memops of retired window entries are exactly `[0, mem_retired)`.
+    mem_retired: usize,
+    /// Per [`MemOpKind`], the ids of that kind in program order, minus
+    /// a prefix known to have performed. Fronts are pruned lazily, so
+    /// a front that survives [`Engine::oldest_unperformed`] is the
+    /// oldest unperformed operation of its kind; entries behind it may
+    /// have performed already.
+    unperformed: [VecDeque<usize>; KIND_COUNT],
+    /// For each later kind, a bit per earlier kind the model makes it
+    /// wait for (`must_wait_for`, tabulated once).
+    wait_mask: [u8; KIND_COUNT],
+    /// A bit per kind that every later kind must wait for.
+    blocks_all: u8,
+    /// Every memop threshold still ahead: operand-ready times and
+    /// memory completions, pushed when set (see
+    /// [`Engine::set_mem_state`]) and popped once `now` reaches them.
+    thresholds: BinaryHeap<Reverse<u64>>,
+    /// Window memops awaiting issue (loads/acquires/barriers), in the
+    /// order their operands resolved. That is not program order: a
+    /// younger independent load can sit ahead of an older dependent
+    /// one, and `issue_phase` issues the first eligible op in this
+    /// order.
     pending_loads: VecDeque<usize>,
-    /// Store buffer: memop indices in FIFO order.
+    /// Store buffer: memop ids in FIFO order.
     store_buffer: VecDeque<usize>,
     /// Register state: ready time or producing entry.
     reg_time: [u64; 64],
     reg_producer: [Option<u64>; 64],
     btb: Btb,
     mshrs: MshrFile,
+    /// Work stack of `set_completion`, kept to reuse its allocation.
+    completion_work: Vec<(u64, u64)>,
+    /// Emptied waiter lists, reused by later entries.
+    waiter_pool: Vec<Vec<u64>>,
     fetch_resume: u64,
     fetch_blocked: bool,
     /// Event-driven mode: skip straight over dead cycles. `false`
@@ -286,8 +344,17 @@ impl<'a> Engine<'a> {
         skip: bool,
     ) -> Engine<'a> {
         let slab_cap = cfg.window_size.next_power_of_two();
+        let mem_cap = (cfg.window_size + cfg.store_buffer_depth).next_power_of_two();
         let decode_exhausted = cursor.past_end(0);
-        let mem_hint = cursor.mem_entries_hint();
+        let mut wait_mask = [0u8; KIND_COUNT];
+        for later in KINDS {
+            for earlier in KINDS {
+                if cfg.model.must_wait_for(earlier, later) {
+                    wait_mask[later as usize] |= 1 << earlier as usize;
+                }
+            }
+        }
+        let blocks_all = wait_mask.iter().fold(u8::MAX, |all, &mask| all & mask);
         let pending_cap = cfg.window_size.min(cursor.loaded_len());
         Engine {
             cfg,
@@ -300,14 +367,24 @@ impl<'a> Engine<'a> {
             next_id: 0,
             slab: std::iter::repeat_with(|| None).take(slab_cap).collect(),
             slab_mask: (slab_cap - 1) as u64,
-            memops: Vec::with_capacity(mem_hint),
+            memops: vec![MemOp::VACANT; mem_cap],
+            mem_mask: mem_cap - 1,
+            mem_floor: 0,
+            mem_next: 0,
             mem_head: 0,
+            mem_retired: 0,
+            unperformed: Default::default(),
+            wait_mask,
+            blocks_all,
+            thresholds: BinaryHeap::new(),
             pending_loads: VecDeque::with_capacity(pending_cap),
             store_buffer: VecDeque::with_capacity(cfg.store_buffer_depth),
             reg_time: [0; 64],
             reg_producer: [None; 64],
             btb: Btb::new(cfg.btb),
             mshrs: MshrFile::new(cfg.mshr_limit),
+            completion_work: Vec::new(),
+            waiter_pool: Vec::new(),
             fetch_resume: 0,
             fetch_blocked: false,
             skip,
@@ -335,6 +412,88 @@ impl<'a> Engine<'a> {
             .expect("live entry")
     }
 
+    /// The live memop with id `id`.
+    fn mem(&self, id: usize) -> &MemOp {
+        debug_assert!(
+            self.mem_floor <= id && id < self.mem_next,
+            "dead memop {id}"
+        );
+        &self.memops[id & self.mem_mask]
+    }
+
+    fn mem_mut(&mut self, id: usize) -> &mut MemOp {
+        debug_assert!(
+            self.mem_floor <= id && id < self.mem_next,
+            "dead memop {id}"
+        );
+        &mut self.memops[id & self.mem_mask]
+    }
+
+    /// Registers a decoded memop and returns its id.
+    ///
+    /// When the ring is full, the floor is first raised to the oldest
+    /// id anything can still read; unless that frees a quarter of the
+    /// ring, it doubles (so a span hovering near capacity does not
+    /// recompute the floor on every push). The live span is not
+    /// bounded by the window plus the store buffer: under RC,
+    /// performed reads keep retiring past an old store or release that
+    /// has not performed, and `mem_head` (hence the floor) stays at
+    /// that operation.
+    fn push_memop(&mut self, m: MemOp) -> usize {
+        if self.mem_next - self.mem_floor == self.memops.len() {
+            self.raise_mem_floor();
+            if (self.mem_next - self.mem_floor) * 4 > self.memops.len() * 3 {
+                let cap = self.memops.len() * 2;
+                let mut ring = vec![MemOp::VACANT; cap];
+                for id in self.mem_floor..self.mem_next {
+                    ring[id & (cap - 1)] = self.memops[id & self.mem_mask];
+                }
+                self.memops = ring;
+                self.mem_mask = cap - 1;
+            }
+        }
+        let id = self.mem_next;
+        self.memops[id & self.mem_mask] = m;
+        self.mem_next += 1;
+        // Pruning on push keeps every queue as short as its unperformed
+        // span, also for kinds no consistency check asks about.
+        let kind = m.kind as usize;
+        self.oldest_unperformed(kind);
+        self.unperformed[kind].push_back(id);
+        id
+    }
+
+    /// Raises `mem_floor` to the oldest memop id still referenced:
+    /// `mem_head` (the scan start of the stall classifier), the first
+    /// memop still in the window, the store-buffer front, and the
+    /// per-kind queue fronts. Every other reference is younger than
+    /// one of these.
+    fn raise_mem_floor(&mut self) {
+        for kind in 0..KIND_COUNT {
+            self.oldest_unperformed(kind);
+        }
+        let fronts = self
+            .unperformed
+            .iter()
+            .chain(std::iter::once(&self.store_buffer))
+            .filter_map(|q| q.front().copied());
+        let floor = fronts.fold(self.mem_head.min(self.mem_retired), usize::min);
+        debug_assert!(floor >= self.mem_floor, "memop floor moved back");
+        self.mem_floor = floor;
+    }
+
+    /// The oldest memop of kind index `kind` not performed by `now`,
+    /// dropping performed ones from the front of its queue.
+    fn oldest_unperformed(&mut self, kind: usize) -> Option<usize> {
+        while let Some(&id) = self.unperformed[kind].front() {
+            if !self.mem(id).performed_by(self.now) {
+                return Some(id);
+            }
+            self.unperformed[kind].pop_front();
+        }
+        None
+    }
+
     /// A hard progress bound: no trace entry can legitimately take
     /// longer than its worst-case serial latency, so a run exceeding
     /// this is a model deadlock (usually a mismatched program/trace
@@ -346,6 +505,11 @@ impl<'a> Engine<'a> {
     }
 
     fn run(mut self) -> Result<ExecutionResult, StreamError> {
+        self.simulate()?;
+        Ok(self.result)
+    }
+
+    fn simulate(&mut self) -> Result<(), StreamError> {
         loop {
             let bound = self.progress_bound();
             let done = self.decode_exhausted
@@ -426,7 +590,7 @@ impl<'a> Engine<'a> {
             return Err(e);
         }
         self.result.stats.peak_outstanding_misses = self.mshrs.peak();
-        Ok(self.result)
+        Ok(())
     }
 
     /// The earliest future cycle at which the frozen machine state can
@@ -450,7 +614,7 @@ impl<'a> Engine<'a> {
                 consider(c);
             }
             if let Some(mi) = e.mem {
-                let m = &self.memops[mi];
+                let m = self.mem(mi);
                 if m.kind.acquires() {
                     // head_since was set by this cycle's retire phase.
                     if let Some(since) = m.head_since {
@@ -459,17 +623,8 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        // Every unperformed memop sits at an index >= mem_head; its
-        // pending thresholds are when its operands become ready and
-        // when memory responds. (These cover store-buffer drains and
-        // consistency-constraint expiry: both are "an earlier op
-        // performs", which is that op's own Issued threshold.)
-        for m in &self.memops[self.mem_head..] {
-            match m.state {
-                MState::Ready(t) => consider(t),
-                MState::Issued(done) => consider(done),
-                MState::Waiting | MState::InBuffer => {}
-            }
+        if let Some(t) = self.next_memop_event() {
+            consider(t);
         }
         if let Some(t) = self.mshrs.next_completion() {
             consider(t);
@@ -479,6 +634,46 @@ impl<'a> Engine<'a> {
             consider(self.fetch_resume);
         }
         next
+    }
+
+    /// The earliest memop threshold after `now`: an operand-ready time
+    /// or a memory completion. (These cover store-buffer drains and
+    /// consistency-constraint expiry: both are "an earlier op
+    /// performs", which is that op's own Issued threshold.)
+    ///
+    /// A threshold, once set, stays valid until `now` passes it: a
+    /// `Ready(t)` op issues only at or after `t`, and `Issued(done)` is
+    /// final. So the heap's top is the answer once the thresholds
+    /// `advance_mem_head` has popped are gone, and everything pushed
+    /// since lies after `now`.
+    fn next_memop_event(&self) -> Option<u64> {
+        let next = self.thresholds.peek().map(|&Reverse(t)| t);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(next, self.next_memop_event_scan());
+        next
+    }
+
+    /// Oracle for [`Engine::next_memop_event`]: every memop from
+    /// `mem_head` on.
+    #[cfg(debug_assertions)]
+    fn next_memop_event_scan(&self) -> Option<u64> {
+        (self.mem_head..self.mem_next)
+            .filter_map(|j| match self.mem(j).state {
+                MState::Ready(t) | MState::Issued(t) if t > self.now => Some(t),
+                _ => None,
+            })
+            .min()
+    }
+
+    /// Moves memop `mi` to `state`, recording a threshold it carries
+    /// that lies ahead.
+    fn set_mem_state(&mut self, mi: usize, state: MState) {
+        self.mem_mut(mi).state = state;
+        if let MState::Ready(t) | MState::Issued(t) = state {
+            if t > self.now {
+                self.thresholds.push(Reverse(t));
+            }
+        }
     }
 
     // ---- retirement ----------------------------------------------------
@@ -498,17 +693,17 @@ impl<'a> Engine<'a> {
                 EKind::Alu | EKind::Branch => completion.is_some_and(|c| c <= self.now),
                 EKind::Mem => {
                     let mi = mem_idx.expect("mem entry");
-                    match self.memops[mi].kind {
+                    match self.mem(mi).kind {
                         MemOpKind::Write | MemOpKind::Release => self.store_can_move_to_buffer(mi),
                         MemOpKind::Acquire | MemOpKind::Barrier => {
                             // The wait component starts counting when
                             // the acquire reaches the head: imbalance
                             // and contention cannot be looked past.
-                            let m = &mut self.memops[mi];
-                            let since = *m.head_since.get_or_insert(self.now);
-                            let wait_over = self.now >= since + m.wait as u64;
-                            let m = &self.memops[mi];
-                            let access_done = matches!(m.state, MState::Issued(d) if d <= self.now);
+                            let now = self.now;
+                            let m = self.mem_mut(mi);
+                            let since = *m.head_since.get_or_insert(now);
+                            let wait_over = now >= since + m.wait as u64;
+                            let access_done = matches!(m.state, MState::Issued(d) if d <= now);
                             wait_over && access_done
                         }
                         MemOpKind::Read => completion.is_some_and(|c| c <= self.now),
@@ -519,18 +714,21 @@ impl<'a> Engine<'a> {
                 break;
             }
             if let Some(mi) = mem_idx {
-                match self.memops[mi].kind {
+                match self.mem(mi).kind {
                     MemOpKind::Write | MemOpKind::Release => {
-                        self.memops[mi].state = MState::InBuffer;
+                        self.mem_mut(mi).state = MState::InBuffer;
                         self.store_buffer.push_back(mi);
                     }
                     MemOpKind::Acquire | MemOpKind::Barrier => {
-                        self.memops[mi].acquire_done = Some(self.now);
-                        let entry_id = self.memops[mi].entry_id;
-                        self.set_completion(entry_id, self.now);
+                        let now = self.now;
+                        let m = self.mem_mut(mi);
+                        m.acquire_done = Some(now);
+                        let entry_id = m.entry_id;
+                        self.set_completion(entry_id, now);
                     }
                     MemOpKind::Read => {}
                 }
+                self.mem_retired = mi + 1;
             }
             #[cfg(feature = "obs")]
             {
@@ -541,9 +739,10 @@ impl<'a> Engine<'a> {
                     r.metrics.inc("core.ds.retired", 1);
                 });
             }
-            self.slab[(head & self.slab_mask) as usize]
+            let retiring = self.slab[(head & self.slab_mask) as usize]
                 .take()
                 .expect("head exists");
+            self.recycle_waiters(retiring.waiters);
             self.head_id += 1;
             self.result.stats.instructions += 1;
             retired += 1;
@@ -564,9 +763,8 @@ impl<'a> Engine<'a> {
 
     /// Whether the store/release at `mi` (assumed at the window head)
     /// may retire into the store buffer now.
-    fn store_can_move_to_buffer(&self, mi: usize) -> bool {
-        let m = &self.memops[mi];
-        let ready = match m.state {
+    fn store_can_move_to_buffer(&mut self, mi: usize) -> bool {
+        let ready = match self.mem(mi).state {
             MState::Ready(t) => t <= self.now,
             _ => false,
         };
@@ -578,31 +776,63 @@ impl<'a> Engine<'a> {
     fn store_buffer_occupancy(&self) -> usize {
         self.store_buffer
             .iter()
-            .filter(|&&mi| !self.memops[mi].performed_by(self.now))
+            .filter(|&&mi| !self.mem(mi).performed_by(self.now))
             .count()
     }
 
     // ---- memory issue ----------------------------------------------------
 
     /// Every earlier not-yet-performed memop the model orders before
-    /// `mi` must have performed.
-    fn consistency_eligible(&self, mi: usize) -> bool {
-        let later = self.memops[mi].kind;
-        for j in self.mem_head..mi {
-            let e = &self.memops[j];
-            if !e.performed_by(self.now) && self.cfg.model.must_wait_for(e.kind, later) {
-                return false;
-            }
-        }
-        true
+    /// `mi` must have performed. Which earlier ops count depends only
+    /// on the two kinds, so it is enough that the oldest unperformed op
+    /// of each ordered-before kind is not older than `mi`.
+    fn consistency_eligible(&mut self, mi: usize) -> bool {
+        let mask = self.wait_mask[self.mem(mi).kind as usize];
+        let eligible = (0..KIND_COUNT).all(|kind| {
+            mask & (1 << kind) == 0 || self.oldest_unperformed(kind).is_none_or(|id| id >= mi)
+        });
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(eligible, self.consistency_eligible_scan(mi), "memop {mi}");
+        eligible
+    }
+
+    /// Oracle for [`Engine::consistency_eligible`]: every memop between
+    /// `mem_head` and `mi`.
+    #[cfg(debug_assertions)]
+    fn consistency_eligible_scan(&self, mi: usize) -> bool {
+        let later = self.mem(mi).kind;
+        (self.mem_head..mi).all(|j| {
+            let e = self.mem(j);
+            e.performed_by(self.now) || !self.cfg.model.must_wait_for(e.kind, later)
+        })
     }
 
     /// For a load: the latest earlier unperformed store/release to the
-    /// same word, if any.
+    /// same word, if any. Only the Write and Release queues can hold
+    /// one.
     fn forwarding_source(&self, mi: usize) -> Option<usize> {
-        let addr = self.memops[mi].word_addr;
+        let addr = self.mem(mi).word_addr;
+        let latest = |kind: MemOpKind| {
+            let queue = &self.unperformed[kind as usize];
+            let older = queue.partition_point(|&j| j < mi);
+            queue.range(..older).rev().copied().find(|&j| {
+                let e = self.mem(j);
+                e.word_addr == addr && !e.performed_by(self.now)
+            })
+        };
+        let src = latest(MemOpKind::Write).max(latest(MemOpKind::Release));
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(src, self.forwarding_source_scan(mi), "memop {mi}");
+        src
+    }
+
+    /// Oracle for [`Engine::forwarding_source`]: every memop between
+    /// `mem_head` and `mi`, youngest first.
+    #[cfg(debug_assertions)]
+    fn forwarding_source_scan(&self, mi: usize) -> Option<usize> {
+        let addr = self.mem(mi).word_addr;
         (self.mem_head..mi).rev().find(|&j| {
-            let e = &self.memops[j];
+            let e = self.mem(j);
             matches!(e.kind, MemOpKind::Write | MemOpKind::Release)
                 && e.word_addr == addr
                 && !e.performed_by(self.now)
@@ -617,19 +847,42 @@ impl<'a> Engine<'a> {
         // Window ops (loads/acquires/barriers) have priority over the
         // store buffer on the single cache port.
         let mut chosen: Option<(usize, u64)> = None;
-        for &mi in &self.pending_loads {
-            let m = &self.memops[mi];
-            let MState::Ready(t) = m.state else { continue };
+        // An unperformed op of a kind every kind waits for (any op
+        // under SC, a read under PC, an acquire under RC) fails the
+        // consistency check of every younger op.
+        let fence = if self.pending_loads.is_empty() || self.cfg.speculative_loads {
+            None
+        } else {
+            let blocks_all = self.blocks_all;
+            (0..KIND_COUNT)
+                .filter(|&kind| blocks_all & (1 << kind) != 0)
+                .filter_map(|kind| self.oldest_unperformed(kind))
+                .min()
+        };
+        for pos in 0..self.pending_loads.len() {
+            let mi = self.pending_loads[pos];
+            if fence.is_some_and(|f| f < mi) {
+                continue;
+            }
+            let MemOp {
+                kind,
+                word_addr,
+                latency,
+                is_miss,
+                state,
+                ..
+            } = *self.mem(mi);
+            let MState::Ready(t) = state else { continue };
             if t > self.now {
                 continue;
             }
             // Speculative loads ([8], technique 2) bypass the
             // consistency check entirely.
-            let speculate = self.cfg.speculative_loads && m.kind == MemOpKind::Read;
+            let speculate = self.cfg.speculative_loads && kind == MemOpKind::Read;
             if !speculate && !self.consistency_eligible(mi) {
                 continue;
             }
-            if m.kind == MemOpKind::Read {
+            if kind == MemOpKind::Read {
                 if let Some(src) = self.forwarding_source(mi) {
                     // Forward from the store buffer in one cycle once
                     // the store's data is actually available; block
@@ -637,7 +890,7 @@ impl<'a> Engine<'a> {
                     // (unless dependences are being ignored, in which
                     // case forwarding still applies — it is a latency
                     // shortcut, not a stall).
-                    let data_available = match self.memops[src].state {
+                    let data_available = match self.mem(src).state {
                         MState::Waiting => false,
                         MState::Ready(t) => t <= self.now,
                         MState::InBuffer | MState::Issued(_) => true,
@@ -645,56 +898,54 @@ impl<'a> Engine<'a> {
                     if !data_available && !self.cfg.ignore_data_dependences {
                         continue;
                     }
-                    chosen = Some((mi, self.now + 1));
+                    chosen = Some((pos, self.now + 1));
                     break;
                 }
             }
             // Non-binding prefetch ([8], technique 1): the fill began
             // when the address became known; cycles spent blocked on
             // consistency constraints come off the latency.
-            let latency = if self.cfg.nonbinding_prefetch && m.kind == MemOpKind::Read {
+            let latency = if self.cfg.nonbinding_prefetch && kind == MemOpKind::Read {
                 let covered = self.now.saturating_sub(t);
-                (m.latency as u64).saturating_sub(covered).max(1) as u32
+                (latency as u64).saturating_sub(covered).max(1) as u32
             } else {
-                m.latency
+                latency
             };
-            if m.is_miss {
-                let line = m.word_addr & !(LINE_BYTES - 1);
+            if is_miss {
+                let line = word_addr & !(LINE_BYTES - 1);
                 match self.mshrs.request(line, self.now, latency) {
                     Some(done) => {
-                        chosen = Some((mi, done));
+                        chosen = Some((pos, done));
                         break;
                     }
                     None => continue, // MSHRs full: structural stall
                 }
             }
-            chosen = Some((mi, self.now + latency as u64));
+            chosen = Some((pos, self.now + latency as u64));
             break;
         }
-        if let Some((mi, done)) = chosen {
-            self.pending_loads.retain(|&x| x != mi);
+        if let Some((pos, done)) = chosen {
+            let mi = self.pending_loads.remove(pos).expect("chosen position");
+            self.set_mem_state(mi, MState::Issued(done));
+            let m = *self.mem(mi);
             #[cfg(feature = "obs")]
             {
-                let m = &self.memops[mi];
                 let (now, pc, addr) = (self.now, m.pc, m.word_addr);
                 obs::with(|r| {
                     r.event(now, EventKind::Issue { pc, addr });
                     r.event(done, EventKind::Complete { pc, addr });
                 });
             }
-            let m = &mut self.memops[mi];
-            m.state = MState::Issued(done);
             if m.kind == MemOpKind::Read && m.is_miss {
                 self.result
                     .stats
                     .read_miss_issue_delays
                     .push((self.now - m.decode_time) as u32);
             }
-            let entry_id = m.entry_id;
             if !m.kind.acquires() {
                 // Acquires complete at retirement (after their wait);
                 // everything else completes when memory responds.
-                self.set_completion(entry_id, done);
+                self.set_completion(m.entry_id, done);
             }
             return true;
         }
@@ -704,9 +955,9 @@ impl<'a> Engine<'a> {
         if let Some(&mi) = self
             .store_buffer
             .iter()
-            .find(|&&mi| self.memops[mi].state == MState::InBuffer)
+            .find(|&&mi| self.mem(mi).state == MState::InBuffer)
         {
-            let m = &self.memops[mi];
+            let m = *self.mem(mi);
             let done = if m.is_miss {
                 let line = m.word_addr & !(LINE_BYTES - 1);
                 match self.mshrs.request(line, self.now, m.latency) {
@@ -724,21 +975,28 @@ impl<'a> Engine<'a> {
                     r.event(done, EventKind::Complete { pc, addr });
                 });
             }
-            self.memops[mi].state = MState::Issued(done);
+            self.set_mem_state(mi, MState::Issued(done));
             return true;
         }
         false
     }
 
+    /// Moves `mem_head` and the store-buffer front past performed ops.
     fn advance_mem_head(&mut self) {
-        while self.mem_head < self.memops.len() && self.memops[self.mem_head].performed_by(self.now)
+        while self
+            .thresholds
+            .peek()
+            .is_some_and(|&Reverse(t)| t <= self.now)
         {
+            self.thresholds.pop();
+        }
+        while self.mem_head < self.mem_next && self.mem(self.mem_head).performed_by(self.now) {
             self.mem_head += 1;
         }
         while self
             .store_buffer
             .front()
-            .is_some_and(|&mi| self.memops[mi].performed_by(self.now))
+            .is_some_and(|&mi| self.mem(mi).performed_by(self.now))
         {
             self.store_buffer.pop_front();
         }
@@ -771,7 +1029,7 @@ impl<'a> Engine<'a> {
     /// fetch must stop (mispredicted branch).
     fn decode_one(&mut self) -> bool {
         let idx = self.next_decode;
-        let te = &self.cursor.entry(idx);
+        let te = self.cursor.entry(idx);
         self.next_decode += 1;
         self.decode_exhausted = self.cursor.past_end(self.next_decode);
         let id = self.next_id;
@@ -852,10 +1110,7 @@ impl<'a> Engine<'a> {
             }
         };
 
-        let mem_idx = mem.map(|m| {
-            self.memops.push(m);
-            self.memops.len() - 1
-        });
+        let mem_idx = mem.map(|m| self.push_memop(m));
 
         let mut entry = Entry {
             trace_idx: idx,
@@ -864,7 +1119,7 @@ impl<'a> Engine<'a> {
             base_ready: self.now,
             ready: None,
             completion: None,
-            waiters: Vec::new(),
+            waiters: self.waiter_pool.pop().unwrap_or_default(),
             mem: mem_idx,
             fetch_blocker: false,
         };
@@ -875,7 +1130,7 @@ impl<'a> Engine<'a> {
         // program/trace they have none, but a mismatched pair (user
         // error) must degrade to wrong timing, not a silent hang.
         let store_like = matches!(
-            mem_idx.map(|mi| self.memops[mi].kind),
+            mem.map(|m| m.kind),
             Some(MemOpKind::Write) | Some(MemOpKind::Release)
         );
         if !self.cfg.ignore_data_dependences {
@@ -958,9 +1213,8 @@ impl<'a> Engine<'a> {
             }
             EKind::Mem => {
                 let mi = e.mem.expect("mem entry");
-                let m = &mut self.memops[mi];
-                m.state = MState::Ready(ready);
-                if !matches!(m.kind, MemOpKind::Write | MemOpKind::Release) {
+                self.set_mem_state(mi, MState::Ready(ready));
+                if !matches!(self.mem(mi).kind, MemOpKind::Write | MemOpKind::Release) {
                     self.pending_loads.push_back(mi);
                 }
             }
@@ -970,7 +1224,8 @@ impl<'a> Engine<'a> {
     /// Propagate a known completion time to dependents (iteratively,
     /// to keep long ALU chains off the call stack).
     fn set_completion(&mut self, id: u64, time: u64) {
-        let mut work = vec![(id, time)];
+        let mut work = std::mem::take(&mut self.completion_work);
+        work.push((id, time));
         while let Some((id, time)) = work.pop() {
             let e = self.entry_mut(id);
             e.completion = Some(time);
@@ -997,7 +1252,7 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            for w in waiters {
+            for &w in &waiters {
                 let we = self.entry_mut(w);
                 we.base_ready = we.base_ready.max(time);
                 we.unresolved -= 1;
@@ -1010,6 +1265,16 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
+            self.recycle_waiters(waiters);
+        }
+        self.completion_work = work;
+    }
+
+    /// Keeps an emptied waiter list's allocation for a later entry.
+    fn recycle_waiters(&mut self, mut waiters: Vec<u64>) {
+        if waiters.capacity() > 0 {
+            waiters.clear();
+            self.waiter_pool.push(waiters);
         }
     }
 
@@ -1019,10 +1284,7 @@ impl<'a> Engine<'a> {
         let head_class = (self.head_id < self.next_id).then(|| {
             let e = self.entry(self.head_id);
             match e.kind {
-                EKind::Mem => {
-                    let m = &self.memops[e.mem.expect("mem entry")];
-                    Some(class_of(m.kind))
-                }
+                EKind::Mem => Some(class_of(self.mem(e.mem.expect("mem entry")).kind)),
                 _ => None,
             }
         });
@@ -1038,9 +1300,9 @@ impl<'a> Engine<'a> {
     }
 
     fn oldest_unperformed_class(&self) -> Option<StallClass> {
-        (self.mem_head..self.memops.len())
-            .find(|&j| !self.memops[j].performed_by(self.now))
-            .map(|j| class_of(self.memops[j].kind))
+        (self.mem_head..self.mem_next)
+            .find(|&j| !self.mem(j).performed_by(self.now))
+            .map(|j| class_of(self.mem(j).kind))
     }
 
     /// Refines a coarse stall class into the blamed pc and fine cause.
@@ -1057,7 +1319,7 @@ impl<'a> Engine<'a> {
                 // ALU/branch at head: retirement waits on its operands.
                 EKind::Alu | EKind::Branch => C::TrueDependence,
                 EKind::Mem => {
-                    let m = &self.memops[e.mem.expect("mem entry")];
+                    let m = self.mem(e.mem.expect("mem entry"));
                     match m.kind {
                         MemOpKind::Read => match m.state {
                             MState::Waiting => C::TrueDependence,
@@ -1502,6 +1764,147 @@ mod tests {
         .run(&p, &t)
         .cycles();
         assert!(boosted.abs_diff(plain) <= 2, "{boosted} vs {plain}");
+    }
+
+    /// `iterations` copies of a miss-heavy loop body: an independent
+    /// load miss, a store miss and two compute instructions, closed by
+    /// a taken branch. Under RC the loads keep retiring past the
+    /// stores still draining from the buffer.
+    fn miss_heavy_loop(iterations: usize) -> (Program, Trace) {
+        let mut a = Assembler::new();
+        let top = a.label();
+        a.bind(top).unwrap();
+        a.load(IntReg::T1, IntReg::T0, 0);
+        a.store(IntReg::T2, IntReg::T0, 8);
+        a.addi(IntReg::T3, IntReg::T3, 1);
+        a.addi(IntReg::T4, IntReg::T4, 1);
+        a.branch(BranchCond::Ne, IntReg::T3, IntReg::ZERO, top);
+        a.halt();
+        let mut entries = Vec::with_capacity(iterations * 5);
+        for i in 0..iterations as u64 {
+            let line = (i % 4096) * 64;
+            entries.push(TraceEntry {
+                pc: 0,
+                op: TraceOp::Load(MemAccess::miss(line, 50)),
+            });
+            entries.push(TraceEntry {
+                pc: 1,
+                op: TraceOp::Store(MemAccess::miss(line + (1 << 20), 100)),
+            });
+            entries.push(TraceEntry::compute(2));
+            entries.push(TraceEntry::compute(3));
+            entries.push(TraceEntry {
+                pc: 4,
+                op: TraceOp::Branch {
+                    taken: true,
+                    target: 0,
+                },
+            });
+        }
+        (a.assemble().unwrap(), Trace::from_entries(entries))
+    }
+
+    /// Runs `trace` streamed, as `run_source` does, and returns the
+    /// memop ring's final (hence peak: it never shrinks) capacity.
+    fn streamed_ring_capacity(cfg: DsConfig, program: &Program, trace: &Trace) -> usize {
+        let source = lookahead_trace::SliceSource::new(trace);
+        let cursor = TraceCursor::stream(Box::new(source));
+        let mut engine = Engine::with_cursor(cfg, program, cursor, true);
+        engine.simulate().expect("slice source cannot fail");
+        assert_eq!(engine.result.stats.instructions, trace.len() as u64);
+        engine.memops.len()
+    }
+
+    #[test]
+    fn memop_ring_is_sized_by_the_window_not_the_trace() {
+        let (p, short) = miss_heavy_loop(2_000);
+        let (_, long) = miss_heavy_loop(40_000);
+        for cfg in [DsConfig::rc().window(64), DsConfig::rc().window(256)] {
+            let small = streamed_ring_capacity(cfg, &p, &short);
+            let large = streamed_ring_capacity(cfg, &p, &long);
+            assert_eq!(
+                small, large,
+                "window {}: ring capacity grew with the trace",
+                cfg.window_size
+            );
+            assert!(small <= 4 * (cfg.window_size + cfg.store_buffer_depth));
+        }
+    }
+
+    #[test]
+    fn memop_ring_grows_past_a_slow_release() {
+        // A release that takes 5000 cycles to perform holds the ring's
+        // floor while 1000 younger load hits retire past it under RC:
+        // the live span outgrows window plus store buffer, so the ring
+        // must double instead of overwriting live operations.
+        let mut a = Assembler::new();
+        a.set_event(IntReg::G1, 0);
+        let mut entries = vec![TraceEntry {
+            pc: 0,
+            op: TraceOp::Sync(lookahead_trace::SyncAccess {
+                kind: SyncKind::SetEvent,
+                addr: 0,
+                wait: 5_000,
+                access: 1,
+            }),
+        }];
+        for i in 0..1_000u32 {
+            a.load(IntReg::T1, IntReg::G0, 8);
+            entries.push(TraceEntry {
+                pc: i + 1,
+                op: TraceOp::Load(MemAccess::hit(8 * i as u64 + 64)),
+            });
+        }
+        a.halt();
+        let (p, t) = (a.assemble().unwrap(), Trace::from_entries(entries));
+        let cfg = DsConfig::rc().window(16);
+        let capacity = streamed_ring_capacity(cfg, &p, &t);
+        assert!(capacity >= 1_024, "ring stayed at {capacity}");
+        assert_eq!(Ds::new(cfg).run(&p, &t), Ds::new(cfg).run_reference(&p, &t));
+    }
+
+    #[test]
+    fn pending_loads_issue_in_operand_resolution_order() {
+        // With one MSHR, I0's miss holds the file until 51, so I1
+        // (independent) issues at 51 and holds it until 101. I2 needs
+        // I1's value: its operands resolve when I1 issues, at 51. I3 is
+        // independent and has been waiting since its decode. At 101
+        // both I2 and I3 are eligible and only the MSHR decides; the
+        // pending list holds I3 ahead of I2 (operand resolution order),
+        // so the younger I3 goes first. An oldest-first pick would
+        // swap their completions and move the golden reports.
+        let mut a = Assembler::new();
+        a.load(IntReg::T1, IntReg::G0, 0); // I0
+        a.load(IntReg::T4, IntReg::G0, 0x100); // I1
+        a.load(IntReg::T2, IntReg::T4, 0); // I2: depends on I1
+        a.load(IntReg::T3, IntReg::G0, 0x200); // I3
+        a.halt();
+        let p = a.assemble().unwrap();
+        let addrs = [0x000u64, 0x100, 0x300, 0x200];
+        let t = Trace::from_entries(
+            addrs
+                .iter()
+                .enumerate()
+                .map(|(pc, &addr)| TraceEntry {
+                    pc: pc as u32,
+                    op: TraceOp::Load(MemAccess::miss(addr, 50)),
+                })
+                .collect(),
+        );
+        let cfg = DsConfig {
+            mshr_limit: Some(1),
+            ..DsConfig::rc().window(16)
+        };
+        let mut engine = Engine::new(cfg, &p, &t, true);
+        engine.simulate().unwrap();
+        let done: Vec<_> = (0..4).map(|id| engine.mem(id).state).collect();
+        assert_eq!(
+            done,
+            [51, 101, 201, 151].map(MState::Issued),
+            "I3 (younger) must issue before I2"
+        );
+        // The skip-ahead and reference steppers agree on it.
+        assert_eq!(Ds::new(cfg).run(&p, &t), Ds::new(cfg).run_reference(&p, &t));
     }
 
     #[test]

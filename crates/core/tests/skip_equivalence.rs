@@ -16,10 +16,11 @@ use lookahead_isa::{Assembler, IntReg, Program, SyncKind};
 use lookahead_trace::{MemAccess, SyncAccess, Trace, TraceEntry, TraceOp};
 
 /// A random workload over the full trace vocabulary — loads, stores,
-/// compute, paired lock/unlock, and data-dependent branches (which
-/// exercise the misprediction fetch-stall / fetch-resume path the skip
-/// logic must respect). Miss latencies vary per access so completion
-/// times do not align on a lattice.
+/// compute, paired lock/unlock, barriers, wait/set events, and
+/// data-dependent branches (which exercise the misprediction
+/// fetch-stall / fetch-resume path the skip logic must respect). Miss
+/// latencies vary per access so completion times do not align on a
+/// lattice.
 fn gen_workload(rng: &mut XorShift64) -> (Program, Trace) {
     let regs = [IntReg::T1, IntReg::T2, IntReg::T3, IntReg::T4];
     let latencies = [20u32, 50, 100, 200];
@@ -29,7 +30,7 @@ fn gen_workload(rng: &mut XorShift64) -> (Program, Trace) {
     let mut pc = 0u32;
     let mut held_lock = false;
     for _ in 0..steps {
-        let op = rng.next_below(10);
+        let op = rng.next_below(12);
         let addr = rng.next_below(48) * 8;
         let miss = rng.next_bool();
         let r = *rng.choose(&regs);
@@ -74,6 +75,34 @@ fn gen_workload(rng: &mut XorShift64) -> (Program, Trace) {
                     op: TraceOp::Sync(SyncAccess {
                         kind,
                         addr: 8,
+                        wait,
+                        access: if miss { latency.max(2) } else { 1 },
+                    }),
+                });
+            }
+            10 | 11 => {
+                // Barriers (acquire and release at once) and events
+                // (wait = acquire, set = release).
+                let (kind, addr) = match (op, rng.next_bool()) {
+                    (10, _) => (SyncKind::Barrier, 16),
+                    (_, true) => (SyncKind::WaitEvent, 24),
+                    (_, false) => (SyncKind::SetEvent, 24),
+                };
+                let wait = if kind == SyncKind::SetEvent {
+                    0
+                } else {
+                    rng.next_below(150) as u32
+                };
+                match kind {
+                    SyncKind::Barrier => a.barrier(IntReg::G1, addr as i64),
+                    SyncKind::WaitEvent => a.wait_event(IntReg::G1, addr as i64),
+                    _ => a.set_event(IntReg::G1, addr as i64),
+                }
+                entries.push(TraceEntry {
+                    pc,
+                    op: TraceOp::Sync(SyncAccess {
+                        kind,
+                        addr,
                         wait,
                         access: if miss { latency.max(2) } else { 1 },
                     }),
@@ -153,8 +182,14 @@ fn skip_equals_reference_across_windows_and_models() {
         let (program, trace) = gen_workload(&mut rng);
         for model in MODELS {
             for w in [1, 4, 16, 64, 256] {
-                let cfg = DsConfig::with_model(model).window(w);
-                assert_equivalent(&format!("case {case} {model} w{w}"), cfg, &program, &trace);
+                for issue_width in [1, 4] {
+                    let cfg = DsConfig {
+                        issue_width,
+                        ..DsConfig::with_model(model).window(w)
+                    };
+                    let tag = format!("case {case} {model} w{w} x{issue_width}");
+                    assert_equivalent(&tag, cfg, &program, &trace);
+                }
             }
         }
     }

@@ -20,7 +20,8 @@ use lookahead_trace::{
 
 /// A random workload over the full trace vocabulary (mirrors the
 /// skip-equivalence generator: loads, stores, paired lock/unlock,
-/// data-dependent branches, varying miss latencies).
+/// barriers, wait/set events, data-dependent branches, varying miss
+/// latencies).
 fn gen_workload(rng: &mut XorShift64) -> (Program, Trace) {
     let regs = [IntReg::T1, IntReg::T2, IntReg::T3, IntReg::T4];
     let latencies = [20u32, 50, 100, 200];
@@ -30,7 +31,7 @@ fn gen_workload(rng: &mut XorShift64) -> (Program, Trace) {
     let mut pc = 0u32;
     let mut held_lock = false;
     for _ in 0..steps {
-        let op = rng.next_below(10);
+        let op = rng.next_below(12);
         let addr = rng.next_below(48) * 8;
         let miss = rng.next_bool();
         let r = *rng.choose(&regs);
@@ -75,6 +76,34 @@ fn gen_workload(rng: &mut XorShift64) -> (Program, Trace) {
                     op: TraceOp::Sync(SyncAccess {
                         kind,
                         addr: 8,
+                        wait,
+                        access: if miss { latency.max(2) } else { 1 },
+                    }),
+                });
+            }
+            10 | 11 => {
+                // Barriers (acquire and release at once) and events
+                // (wait = acquire, set = release).
+                let (kind, addr) = match (op, rng.next_bool()) {
+                    (10, _) => (SyncKind::Barrier, 16),
+                    (_, true) => (SyncKind::WaitEvent, 24),
+                    (_, false) => (SyncKind::SetEvent, 24),
+                };
+                let wait = if kind == SyncKind::SetEvent {
+                    0
+                } else {
+                    rng.next_below(150) as u32
+                };
+                match kind {
+                    SyncKind::Barrier => a.barrier(IntReg::G1, addr as i64),
+                    SyncKind::WaitEvent => a.wait_event(IntReg::G1, addr as i64),
+                    _ => a.set_event(IntReg::G1, addr as i64),
+                }
+                entries.push(TraceEntry {
+                    pc,
+                    op: TraceOp::Sync(SyncAccess {
+                        kind,
+                        addr,
                         wait,
                         access: if miss { latency.max(2) } else { 1 },
                     }),
@@ -170,9 +199,15 @@ fn ds_stream_equals_materialized_across_windows_and_models() {
     for case in 0..12 {
         let (program, trace) = gen_workload(&mut rng);
         for model in MODELS {
-            for w in [1, 16, 64] {
-                let ds = Ds::new(DsConfig::with_model(model).window(w));
-                assert_streamed_matches(&format!("case {case} w{w}"), &ds, &program, &trace);
+            for w in [1, 16, 64, 256] {
+                for issue_width in [1, 4] {
+                    let ds = Ds::new(DsConfig {
+                        issue_width,
+                        ..DsConfig::with_model(model).window(w)
+                    });
+                    let tag = format!("case {case} w{w} x{issue_width}");
+                    assert_streamed_matches(&tag, &ds, &program, &trace);
+                }
             }
         }
     }

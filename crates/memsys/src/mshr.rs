@@ -32,14 +32,25 @@ use std::collections::BTreeMap;
 /// mshrs.retire_completed(60);
 /// assert_eq!(mshrs.request(0x300, 61, 50), Some(111));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MshrFile {
     /// Maximum simultaneously outstanding lines; `None` = unbounded.
     capacity: Option<usize>,
     /// line address -> completion cycle
     outstanding: BTreeMap<u64, u64>,
+    /// The minimum of `outstanding`'s completion cycles (`u64::MAX`
+    /// when empty), so callers polling every simulated cycle pay
+    /// nothing until a miss is actually due.
+    earliest: u64,
     /// Peak simultaneously outstanding entries (for stats).
     peak: usize,
+}
+
+impl Default for MshrFile {
+    /// An unbounded file.
+    fn default() -> MshrFile {
+        MshrFile::new(None)
+    }
 }
 
 impl MshrFile {
@@ -49,6 +60,7 @@ impl MshrFile {
         MshrFile {
             capacity,
             outstanding: BTreeMap::new(),
+            earliest: u64::MAX,
             peak: 0,
         }
     }
@@ -78,6 +90,7 @@ impl MshrFile {
         }
         let done = now + latency as u64;
         self.outstanding.insert(line_addr, done);
+        self.earliest = self.earliest.min(done);
         self.peak = self.peak.max(self.outstanding.len());
         #[cfg(feature = "obs")]
         lookahead_obs::with(|r| {
@@ -94,9 +107,14 @@ impl MshrFile {
         self.outstanding.get(&line_addr).copied()
     }
 
-    /// Drops all entries whose completion time is `<= now`.
+    /// Drops all entries whose completion time is `<= now`. Returns at
+    /// once when no entry is due yet.
     pub fn retire_completed(&mut self, now: u64) {
+        if self.earliest > now {
+            return;
+        }
         self.outstanding.retain(|_, &mut done| done > now);
+        self.earliest = self.outstanding.values().min().copied().unwrap_or(u64::MAX);
     }
 
     /// Number of outstanding misses.
@@ -117,7 +135,7 @@ impl MshrFile {
 
     /// The earliest completion time among outstanding misses.
     pub fn next_completion(&self) -> Option<u64> {
-        self.outstanding.values().min().copied()
+        (self.earliest != u64::MAX).then_some(self.earliest)
     }
 
     /// The next cycle strictly after `now` at which an outstanding miss
@@ -142,6 +160,7 @@ impl MshrFile {
     /// Clears all entries (e.g. between re-timed runs).
     pub fn reset(&mut self) {
         self.outstanding.clear();
+        self.earliest = u64::MAX;
         self.peak = 0;
     }
 }
@@ -193,6 +212,23 @@ mod tests {
         m.request(0x40, 0, 50);
         m.request(0x80, 10, 50);
         assert_eq!(m.next_completion(), Some(50));
+    }
+
+    #[test]
+    fn next_completion_follows_retirement() {
+        let mut m = MshrFile::new(None);
+        assert_eq!(m.next_completion(), None);
+        m.request(0x40, 0, 50); // completes at 50
+        m.request(0x80, 10, 50); // completes at 60
+        m.retire_completed(49);
+        assert_eq!(m.next_completion(), Some(50), "nothing due at 49");
+        m.retire_completed(50);
+        assert_eq!(m.next_completion(), Some(60));
+        m.request(0xc0, 51, 5); // completes at 56, before 60
+        assert_eq!(m.next_completion(), Some(56));
+        m.retire_completed(100);
+        assert_eq!(m.next_completion(), None);
+        assert!(m.is_empty());
     }
 
     #[test]

@@ -1427,10 +1427,6 @@ impl<R: Read + Seek> TraceSource for ChunkReader<R> {
         Some(self.totals.entries)
     }
 
-    fn mem_entries_hint(&self) -> Option<u64> {
-        Some(self.totals.mem_entries)
-    }
-
     fn max_latency_hint(&self) -> Option<u32> {
         Some(self.totals.max_latency)
     }
@@ -1729,7 +1725,6 @@ mod tests {
         for (p, want) in archive.traces.iter().enumerate() {
             let mut src = ChunkReader::new(io::Cursor::new(&buf), &info, p).unwrap();
             assert_eq!(src.entries_hint(), Some(want.len() as u64));
-            assert_eq!(src.mem_entries_hint(), Some(want.mem_entries() as u64));
             let got = crate::stream::collect_source(&mut src).unwrap();
             assert_eq!(&got, want, "proc {p}");
         }

@@ -658,11 +658,6 @@ pub trait TraceSource {
         None
     }
 
-    /// Total memory-entry count, when known up front.
-    fn mem_entries_hint(&self) -> Option<u64> {
-        None
-    }
-
     /// Maximum access latency in the stream, when known up front.
     fn max_latency_hint(&self) -> Option<u32> {
         None
@@ -679,10 +674,6 @@ impl<T: TraceSource + ?Sized> TraceSource for &mut T {
 
     fn entries_hint(&self) -> Option<u64> {
         (**self).entries_hint()
-    }
-
-    fn mem_entries_hint(&self) -> Option<u64> {
-        (**self).mem_entries_hint()
     }
 
     fn max_latency_hint(&self) -> Option<u32> {
@@ -779,7 +770,6 @@ pub struct TraceCursor<'a> {
 enum Inner<'a> {
     Slice {
         entries: &'a [TraceEntry],
-        mem_entries: usize,
     },
     Stream {
         source: Box<dyn TraceSource + 'a>,
@@ -796,7 +786,7 @@ enum Inner<'a> {
 impl fmt::Debug for Inner<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Inner::Slice { entries, .. } => f
+            Inner::Slice { entries } => f
                 .debug_struct("Slice")
                 .field("len", &entries.len())
                 .finish(),
@@ -824,7 +814,6 @@ impl<'a> TraceCursor<'a> {
         TraceCursor {
             inner: Inner::Slice {
                 entries: trace.entries(),
-                mem_entries: trace.mem_entries(),
             },
         }
     }
@@ -849,7 +838,7 @@ impl<'a> TraceCursor<'a> {
     #[inline]
     pub fn past_end(&mut self, idx: usize) -> bool {
         match &mut self.inner {
-            Inner::Slice { entries, .. } => idx >= entries.len(),
+            Inner::Slice { entries } => idx >= entries.len(),
             Inner::Stream {
                 source,
                 chunks,
@@ -915,7 +904,7 @@ impl<'a> TraceCursor<'a> {
     #[inline]
     pub fn entry(&self, idx: usize) -> TraceEntry {
         match &self.inner {
-            Inner::Slice { entries, .. } => entries[idx],
+            Inner::Slice { entries } => entries[idx],
             Inner::Stream {
                 chunks,
                 base,
@@ -934,7 +923,7 @@ impl<'a> TraceCursor<'a> {
     #[inline]
     pub fn pc(&self, idx: usize) -> u32 {
         match &self.inner {
-            Inner::Slice { entries, .. } => entries[idx].pc,
+            Inner::Slice { entries } => entries[idx].pc,
             Inner::Stream {
                 chunks,
                 base,
@@ -952,7 +941,7 @@ impl<'a> TraceCursor<'a> {
     /// stream, a monotonically growing lower bound on the length.
     pub fn loaded_len(&self) -> usize {
         match &self.inner {
-            Inner::Slice { entries, .. } => entries.len(),
+            Inner::Slice { entries } => entries.len(),
             Inner::Stream { loaded, .. } => *loaded as usize,
         }
     }
@@ -970,15 +959,6 @@ impl<'a> TraceCursor<'a> {
                     break;
                 }
             }
-        }
-    }
-
-    /// Memory-entry count for pre-sizing: exact for slices, the
-    /// source's hint (or 0) for streams.
-    pub fn mem_entries_hint(&self) -> usize {
-        match &self.inner {
-            Inner::Slice { mem_entries, .. } => *mem_entries,
-            Inner::Stream { source, .. } => source.mem_entries_hint().unwrap_or(0) as usize,
         }
     }
 
@@ -1024,7 +1004,6 @@ struct GangShared<'a> {
     space: Condvar,
     max_lead: usize,
     entries: Option<u64>,
-    mem_entries: Option<u64>,
     max_latency: Option<u32>,
 }
 
@@ -1075,7 +1054,6 @@ impl<'a> GangCursor<'a> {
         let shared = GangShared {
             max_lead: max_lead.max(1),
             entries: source.entries_hint(),
-            mem_entries: source.mem_entries_hint(),
             max_latency: source.max_latency_hint(),
             inner: Mutex::new(GangInner {
                 source: Some(source),
@@ -1211,10 +1189,6 @@ impl TraceSource for GangMember<'_> {
 
     fn entries_hint(&self) -> Option<u64> {
         self.shared.entries
-    }
-
-    fn mem_entries_hint(&self) -> Option<u64> {
-        self.shared.mem_entries
     }
 
     fn max_latency_hint(&self) -> Option<u32> {
