@@ -43,7 +43,7 @@
 use crate::btb::{Btb, BtbConfig};
 use crate::consistency::{ConsistencyModel, MemOpKind};
 use crate::model::{ExecutionResult, ProcessorModel};
-use lookahead_isa::{Program, SyncKind, WORD_BYTES};
+use lookahead_isa::{Instruction, Program, SyncKind, WORD_BYTES};
 use lookahead_memsys::MshrFile;
 #[cfg(feature = "obs")]
 use lookahead_obs::{self as obs, EventKind};
@@ -159,6 +159,53 @@ impl Ds {
     }
 }
 
+/// The register slots one static instruction reads and writes, with
+/// fp registers at `32 + index` (the layout of `reg_time` and
+/// `reg_producer`). [`Engine::with_cursor`] decodes the program into
+/// one row per pc, so decode and completion never touch the
+/// [`Instruction`] enum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Operands {
+    /// Integer sources, then fp sources, in accessor order (a register
+    /// read twice is listed twice); the first `source_count` are live.
+    sources: [u8; 4],
+    source_count: u8,
+    /// The integer destination, then the fp destination.
+    dests: [Option<u8>; 2],
+}
+
+impl Operands {
+    /// The row of a pc outside the program: no operands.
+    const NONE: Operands = Operands {
+        sources: [0; 4],
+        source_count: 0,
+        dests: [None; 2],
+    };
+
+    fn of(instr: &Instruction) -> Operands {
+        let mut row = Operands::NONE;
+        let int = instr.int_sources();
+        let fp = instr.fp_sources();
+        let slots = int
+            .iter()
+            .map(|r| r.index())
+            .chain(fp.iter().map(|r| 32 + r.index()));
+        for slot in slots {
+            row.sources[row.source_count as usize] = slot as u8;
+            row.source_count += 1;
+        }
+        row.dests = [
+            instr.int_dest().map(|r| r.index() as u8),
+            instr.fp_dest().map(|r| 32 + r.index() as u8),
+        ];
+        row
+    }
+
+    fn sources(&self) -> &[u8] {
+        &self.sources[..self.source_count as usize]
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EKind {
     Alu,
@@ -175,8 +222,9 @@ struct Entry {
     unresolved: u32,
     /// Max over decode time and known producer completion times.
     base_ready: u64,
-    /// Operand-ready time, once all producers are known.
-    ready: Option<u64>,
+    /// Register slots this entry claimed as their producer at decode;
+    /// its completion time folds into them.
+    dests: [Option<u8>; 2],
     /// Completion time (ALU/branch: ready+1; load-like: set at memory
     /// issue; stores: unused, they retire into the buffer).
     completion: Option<u64>,
@@ -263,6 +311,9 @@ enum StallClass {
 
 struct Engine<'a> {
     cfg: DsConfig,
+    /// Register operands per program pc (see [`Operands`]).
+    operands: Vec<Operands>,
+    #[cfg(debug_assertions)]
     program: &'a Program,
     cursor: TraceCursor<'a>,
     now: u64,
@@ -312,8 +363,11 @@ struct Engine<'a> {
     /// one, and `issue_phase` issues the first eligible op in this
     /// order.
     pending_loads: VecDeque<usize>,
-    /// Store buffer: memop ids in FIFO order.
+    /// Store buffer: memop ids in FIFO order. Stores issue in this
+    /// order and leave from the front once performed, so the issued
+    /// ones are always its first `store_buffer_issued` entries.
     store_buffer: VecDeque<usize>,
+    store_buffer_issued: usize,
     /// Register state: ready time or producing entry.
     reg_time: [u64; 64],
     reg_producer: [Option<u64>; 64],
@@ -358,6 +412,8 @@ impl<'a> Engine<'a> {
         let pending_cap = cfg.window_size.min(cursor.loaded_len());
         Engine {
             cfg,
+            operands: program.instructions().iter().map(Operands::of).collect(),
+            #[cfg(debug_assertions)]
             program,
             cursor,
             now: 0,
@@ -379,6 +435,7 @@ impl<'a> Engine<'a> {
             thresholds: BinaryHeap::new(),
             pending_loads: VecDeque::with_capacity(pending_cap),
             store_buffer: VecDeque::with_capacity(cfg.store_buffer_depth),
+            store_buffer_issued: 0,
             reg_time: [0; 64],
             reg_producer: [None; 64],
             btb: Btb::new(cfg.btb),
@@ -952,11 +1009,16 @@ impl<'a> Engine<'a> {
         // Otherwise the store buffer may use the port (FIFO). Store
         // misses occupy MSHRs like loads: same-line misses merge and a
         // full file stalls the issue.
-        if let Some(&mi) = self
-            .store_buffer
-            .iter()
-            .find(|&&mi| self.mem(mi).state == MState::InBuffer)
-        {
+        let next_store = self.store_buffer.get(self.store_buffer_issued).copied();
+        debug_assert_eq!(
+            next_store,
+            self.store_buffer
+                .iter()
+                .copied()
+                .find(|&mi| self.mem(mi).state == MState::InBuffer),
+            "issued stores are not a prefix of the store buffer"
+        );
+        if let Some(mi) = next_store {
             let m = *self.mem(mi);
             let done = if m.is_miss {
                 let line = m.word_addr & !(LINE_BYTES - 1);
@@ -976,6 +1038,7 @@ impl<'a> Engine<'a> {
                 });
             }
             self.set_mem_state(mi, MState::Issued(done));
+            self.store_buffer_issued += 1;
             return true;
         }
         false
@@ -999,6 +1062,7 @@ impl<'a> Engine<'a> {
             .is_some_and(|&mi| self.mem(mi).performed_by(self.now))
         {
             self.store_buffer.pop_front();
+            self.store_buffer_issued -= 1;
         }
     }
 
@@ -1117,7 +1181,7 @@ impl<'a> Engine<'a> {
             kind,
             unresolved: 0,
             base_ready: self.now,
-            ready: None,
+            dests: [None; 2],
             completion: None,
             waiters: self.waiter_pool.pop().unwrap_or_default(),
             mem: mem_idx,
@@ -1134,41 +1198,31 @@ impl<'a> Engine<'a> {
             Some(MemOpKind::Write) | Some(MemOpKind::Release)
         );
         if !self.cfg.ignore_data_dependences {
-            if let Some(instr) = self.program.fetch(te.pc as usize) {
-                let wait_on = |engine: &mut Engine<'a>, entry: &mut Entry, slot: usize| {
-                    match engine.reg_producer[slot] {
-                        // A producer id below head_id has retired: its
-                        // time was folded into reg_time when it
-                        // completed (its slab slot may already hold a
-                        // different live entry).
-                        Some(pid) if pid >= engine.head_id => {
-                            let p = engine.entry_mut(pid);
-                            if let Some(c) = p.completion {
-                                entry.base_ready = entry.base_ready.max(c);
-                            } else {
-                                p.waiters.push(id);
-                                entry.unresolved += 1;
-                            }
-                        }
-                        _ => {
-                            entry.base_ready = entry.base_ready.max(engine.reg_time[slot]);
+            let row = self.operands_at(te.pc);
+            for &slot in row.sources() {
+                let slot = slot as usize;
+                match self.reg_producer[slot] {
+                    // A producer id below head_id has retired: its time
+                    // was folded into reg_time when it completed (its
+                    // slab slot may already hold a different live
+                    // entry).
+                    Some(pid) if pid >= self.head_id => {
+                        let p = self.entry_mut(pid);
+                        if let Some(c) = p.completion {
+                            entry.base_ready = entry.base_ready.max(c);
+                        } else {
+                            p.waiters.push(id);
+                            entry.unresolved += 1;
                         }
                     }
-                };
-                for r in instr.int_sources().iter() {
-                    wait_on(self, &mut entry, r.index());
+                    _ => entry.base_ready = entry.base_ready.max(self.reg_time[slot]),
                 }
-                for r in instr.fp_sources().iter() {
-                    wait_on(self, &mut entry, 32 + r.index());
+            }
+            if !store_like {
+                for slot in row.dests.into_iter().flatten() {
+                    self.reg_producer[slot as usize] = Some(id);
                 }
-                if !store_like {
-                    if let Some(r) = instr.int_dest() {
-                        self.reg_producer[r.index()] = Some(id);
-                    }
-                    if let Some(r) = instr.fp_dest() {
-                        self.reg_producer[32 + r.index()] = Some(id);
-                    }
-                }
+                entry.dests = row.dests;
             }
         }
 
@@ -1201,11 +1255,29 @@ impl<'a> Engine<'a> {
         mispredicted
     }
 
+    /// The operand row of the instruction at `pc`; [`Operands::NONE`]
+    /// for a pc outside the program.
+    fn operands_at(&self, pc: u32) -> Operands {
+        let row = self
+            .operands
+            .get(pc as usize)
+            .copied()
+            .unwrap_or(Operands::NONE);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            row,
+            self.program
+                .fetch(pc as usize)
+                .map_or(Operands::NONE, Operands::of),
+            "operand row of pc {pc}"
+        );
+        row
+    }
+
     /// All producers of `id` are known: fix its ready time and, for
     /// single-cycle units, its completion.
     fn set_ready(&mut self, id: u64, ready: u64) {
         let e = self.entry_mut(id);
-        e.ready = Some(ready);
         match e.kind {
             EKind::Alu | EKind::Branch => {
                 let c = ready.max(e.base_ready) + 1;
@@ -1229,27 +1301,20 @@ impl<'a> Engine<'a> {
         while let Some((id, time)) = work.pop() {
             let e = self.entry_mut(id);
             e.completion = Some(time);
-            if e.fetch_blocker {
-                e.fetch_blocker = false;
+            let unblocks_fetch = std::mem::take(&mut e.fetch_blocker);
+            let waiters = std::mem::take(&mut e.waiters);
+            let dests = e.dests;
+            if unblocks_fetch {
                 self.fetch_blocked = false;
                 self.fetch_resume = self.fetch_resume.max(time + 1);
             }
-            let waiters = std::mem::take(&mut self.entry_mut(id).waiters);
             // Fold into the register file view for consumers that
             // decode after this entry retires.
-            let pc = self.cursor.pc(self.entry(id).trace_idx);
-            if let Some(instr) = self.program.fetch(pc as usize) {
-                if let Some(r) = instr.int_dest() {
-                    if self.reg_producer[r.index()] == Some(id) {
-                        self.reg_producer[r.index()] = None;
-                        self.reg_time[r.index()] = time;
-                    }
-                }
-                if let Some(r) = instr.fp_dest() {
-                    if self.reg_producer[32 + r.index()] == Some(id) {
-                        self.reg_producer[32 + r.index()] = None;
-                        self.reg_time[32 + r.index()] = time;
-                    }
+            for slot in dests.into_iter().flatten() {
+                let slot = slot as usize;
+                if self.reg_producer[slot] == Some(id) {
+                    self.reg_producer[slot] = None;
+                    self.reg_time[slot] = time;
                 }
             }
             for &w in &waiters {
@@ -1905,6 +1970,139 @@ mod tests {
         );
         // The skip-ahead and reference steppers agree on it.
         assert_eq!(Ds::new(cfg).run(&p, &t), Ds::new(cfg).run_reference(&p, &t));
+    }
+
+    #[test]
+    fn operand_rows_match_the_instruction_accessors() {
+        use lookahead_isa::{AluOp, FpCmpOp, FpReg, FpuOp};
+        let f = |i: usize| FpReg::new(i).unwrap();
+        let program = Program::new(vec![
+            Instruction::Alu {
+                op: AluOp::Add,
+                rd: IntReg::T1,
+                rs1: IntReg::T2,
+                rs2: IntReg::T2,
+            },
+            Instruction::AluImm {
+                op: AluOp::Add,
+                rd: IntReg::ZERO,
+                rs1: IntReg::T3,
+                imm: 4,
+            },
+            Instruction::LoadImm {
+                rd: IntReg::T4,
+                imm: 7,
+            },
+            Instruction::LoadImmF {
+                fd: f(1),
+                value: 1.5,
+            },
+            Instruction::Fpu {
+                op: FpuOp::Mul,
+                fd: f(2),
+                fs1: f(3),
+                fs2: f(4),
+            },
+            Instruction::Fpu {
+                op: FpuOp::Sqrt,
+                fd: f(5),
+                fs1: f(6),
+                fs2: f(7),
+            },
+            Instruction::FpCmp {
+                op: FpCmpOp::Lt,
+                rd: IntReg::T5,
+                fs1: f(8),
+                fs2: f(9),
+            },
+            Instruction::IntToFp {
+                fd: f(10),
+                rs: IntReg::T6,
+            },
+            Instruction::FpToInt {
+                rd: IntReg::T7,
+                fs: f(11),
+            },
+            Instruction::Load {
+                rd: IntReg::ZERO,
+                base: IntReg::S0,
+                offset: 8,
+            },
+            Instruction::Store {
+                rs: IntReg::S1,
+                base: IntReg::S2,
+                offset: 0,
+            },
+            Instruction::LoadF {
+                fd: f(31),
+                base: IntReg::S3,
+                offset: 16,
+            },
+            Instruction::StoreF {
+                fs: f(12),
+                base: IntReg::S4,
+                offset: 24,
+            },
+            Instruction::Branch {
+                cond: BranchCond::Ne,
+                rs1: IntReg::T8,
+                rs2: IntReg::ZERO,
+                target: 0,
+            },
+            Instruction::Jump { target: 0 },
+            Instruction::JumpAndLink {
+                rd: IntReg::T9,
+                target: 0,
+            },
+            Instruction::JumpReg { rs: IntReg::T9 },
+            Instruction::Sync {
+                kind: SyncKind::Lock,
+                base: IntReg::G0,
+                offset: 0,
+            },
+            Instruction::Nop,
+            Instruction::Halt,
+        ]);
+        let trace = Trace::from_entries(vec![TraceEntry::compute(0)]);
+        let engine = Engine::new(DsConfig::rc(), &program, &trace, true);
+        for (pc, instr) in program.instructions().iter().enumerate() {
+            let row = engine.operands_at(pc as u32);
+            let sources: Vec<usize> = instr
+                .int_sources()
+                .iter()
+                .map(|r| r.index())
+                .chain(instr.fp_sources().iter().map(|r| 32 + r.index()))
+                .collect();
+            let row_sources: Vec<usize> = row.sources().iter().map(|&s| s as usize).collect();
+            assert_eq!(row_sources, sources, "sources of {instr:?}");
+            let dests = [
+                instr.int_dest().map(|r| r.index()),
+                instr.fp_dest().map(|r| 32 + r.index()),
+            ];
+            assert_eq!(
+                row.dests.map(|d| d.map(usize::from)),
+                dests,
+                "dests of {instr:?}"
+            );
+        }
+        // Spot checks that pin the slot layout independently.
+        let t2 = IntReg::T2.index() as u8;
+        assert_eq!(
+            engine.operands_at(0).sources(),
+            [t2, t2],
+            "rs1 == rs2 twice"
+        );
+        assert_eq!(engine.operands_at(1).dests, [None, None], "zero register");
+        assert_eq!(engine.operands_at(5).sources(), [32 + 6], "unary sqrt");
+        assert_eq!(engine.operands_at(6).sources(), [32 + 8, 32 + 9]);
+        assert_eq!(engine.operands_at(11).dests, [None, Some(32 + 31)]);
+        assert_eq!(engine.operands_at(10).dests, [None, None], "store");
+        // A pc the program does not contain has no operands, like a
+        // failed `program.fetch`.
+        for pc in [program.len() as u32, program.len() as u32 + 1, u32::MAX] {
+            assert_eq!(engine.operands_at(pc), Operands::NONE, "pc {pc}");
+            assert!(program.fetch(pc as usize).is_none());
+        }
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! configurable capacity (unbounded by default, matching the paper's
 //! aggressive memory-system assumption).
 
-use std::collections::BTreeMap;
-
 /// A file of miss status holding registers keyed by line address.
 ///
 /// Timing is expressed in absolute cycles: the caller supplies `now`
@@ -36,8 +34,11 @@ use std::collections::BTreeMap;
 pub struct MshrFile {
     /// Maximum simultaneously outstanding lines; `None` = unbounded.
     capacity: Option<usize>,
-    /// line address -> completion cycle
-    outstanding: BTreeMap<u64, u64>,
+    /// `(line address, completion cycle)` per outstanding line, in no
+    /// particular order. At most one line per in-flight memory
+    /// operation is outstanding, so a linear search is cheaper than a
+    /// map.
+    outstanding: Vec<(u64, u64)>,
     /// The minimum of `outstanding`'s completion cycles (`u64::MAX`
     /// when empty), so callers polling every simulated cycle pay
     /// nothing until a miss is actually due.
@@ -59,7 +60,7 @@ impl MshrFile {
     pub fn new(capacity: Option<usize>) -> MshrFile {
         MshrFile {
             capacity,
-            outstanding: BTreeMap::new(),
+            outstanding: Vec::new(),
             earliest: u64::MAX,
             peak: 0,
         }
@@ -73,7 +74,11 @@ impl MshrFile {
     /// must retry later). A request for a line already outstanding
     /// merges and returns the existing completion time.
     pub fn request(&mut self, line_addr: u64, now: u64, latency: u32) -> Option<u64> {
-        if let Some(&done) = self.outstanding.get(&line_addr) {
+        if let Some(&(_, done)) = self
+            .outstanding
+            .iter()
+            .find(|&&(line, _)| line == line_addr)
+        {
             #[cfg(feature = "obs")]
             lookahead_obs::with(|r| {
                 r.metrics.inc("memsys.mshr.merge_hits", 1);
@@ -89,7 +94,7 @@ impl MshrFile {
             }
         }
         let done = now + latency as u64;
-        self.outstanding.insert(line_addr, done);
+        self.outstanding.push((line_addr, done));
         self.earliest = self.earliest.min(done);
         self.peak = self.peak.max(self.outstanding.len());
         #[cfg(feature = "obs")]
@@ -102,19 +107,19 @@ impl MshrFile {
         Some(done)
     }
 
-    /// Completion time of the outstanding miss on `line_addr`, if any.
-    pub fn completion_of(&self, line_addr: u64) -> Option<u64> {
-        self.outstanding.get(&line_addr).copied()
-    }
-
     /// Drops all entries whose completion time is `<= now`. Returns at
     /// once when no entry is due yet.
     pub fn retire_completed(&mut self, now: u64) {
         if self.earliest > now {
             return;
         }
-        self.outstanding.retain(|_, &mut done| done > now);
-        self.earliest = self.outstanding.values().min().copied().unwrap_or(u64::MAX);
+        self.outstanding.retain(|&(_, done)| done > now);
+        self.earliest = self
+            .outstanding
+            .iter()
+            .map(|&(_, done)| done)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Number of outstanding misses.
@@ -138,30 +143,9 @@ impl MshrFile {
         (self.earliest != u64::MAX).then_some(self.earliest)
     }
 
-    /// The next cycle strictly after `now` at which an outstanding miss
-    /// retires. `None` when nothing is outstanding or only entries
-    /// already retirable at `now` remain (a `retire_completed(now)`
-    /// would free them immediately). Discrete-event schedulers use
-    /// this to decide when an MSHR-limited unit is next worth
-    /// visiting.
-    pub fn next_progress_time(&self, now: u64) -> Option<u64> {
-        self.outstanding
-            .values()
-            .filter(|&&t| t > now)
-            .min()
-            .copied()
-    }
-
     /// Peak number of simultaneously outstanding misses observed.
     pub fn peak(&self) -> usize {
         self.peak
-    }
-
-    /// Clears all entries (e.g. between re-timed runs).
-    pub fn reset(&mut self) {
-        self.outstanding.clear();
-        self.earliest = u64::MAX;
-        self.peak = 0;
     }
 }
 
@@ -232,23 +216,12 @@ mod tests {
     }
 
     #[test]
-    fn next_progress_skips_already_retirable_entries() {
-        let mut m = MshrFile::new(None);
-        m.request(0x40, 0, 50); // completes at 50
-        m.request(0x80, 10, 50); // completes at 60
-        assert_eq!(m.next_progress_time(0), Some(50));
-        assert_eq!(m.next_progress_time(50), Some(60), "50 is retirable now");
-        assert_eq!(m.next_progress_time(60), None);
-    }
-
-    #[test]
     fn peak_tracks_high_water_mark() {
         let mut m = MshrFile::new(None);
         m.request(0x40, 0, 50);
         m.request(0x80, 0, 50);
         m.retire_completed(1000);
         assert_eq!(m.peak(), 2);
-        m.reset();
-        assert_eq!(m.peak(), 0);
+        assert!(m.is_empty());
     }
 }

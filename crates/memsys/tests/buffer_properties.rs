@@ -97,33 +97,49 @@ fn capacity_is_respected() {
 }
 
 /// MSHR merging: requests to the same line always return the same
-/// completion while outstanding; distinct lines respect capacity.
+/// completion while outstanding; distinct lines respect capacity. A
+/// `HashMap` model checks every answer and every observer after each
+/// step, over bounded and unbounded files, the paper's fixed 50-cycle
+/// latency and random latencies of 1–200 cycles (so completions arrive
+/// out of insertion order), and 8 or 64 distinct lines.
 #[test]
 fn mshr_merge_and_capacity() {
     let mut rng = XorShift64::seed_from_u64(0xB4);
-    for case in 0..256 {
-        let len = rng.range_usize(49) + 1;
-        let cap = rng.range_usize(4) + 1;
-        let mut m = MshrFile::new(Some(cap));
+    for case in 0..512 {
+        let len = rng.range_usize(79) + 1;
+        let cap = if case % 4 == 3 {
+            None
+        } else {
+            Some(rng.range_usize(4) + 1)
+        };
+        let fixed_latency = case % 2 == 0;
+        let lines = if case % 8 < 4 { 8 } else { 64 };
+        let mut m = MshrFile::new(cap);
         let mut outstanding: std::collections::HashMap<u64, u64> = Default::default();
+        let mut peak = 0;
         let mut now = 0u64;
         for _ in 0..len {
-            let line_idx = rng.next_below(8);
-            now += 1;
+            let line = rng.next_below(lines) * 16;
+            let latency = if fixed_latency {
+                50
+            } else {
+                rng.range_i64_inclusive(1, 200) as u32
+            };
+            now += 1 + rng.next_below(4) * rng.next_below(30);
             m.retire_completed(now);
             outstanding.retain(|_, &mut t| t > now);
-            let line = line_idx * 16;
-            match m.request(line, now, 50) {
+            match m.request(line, now, latency) {
                 Some(done) => {
                     if let Some(&prev) = outstanding.get(&line) {
                         assert_eq!(done, prev, "case {case}: merge must reuse completion");
                     } else {
-                        assert_eq!(done, now + 50);
-                        assert!(outstanding.len() < cap);
+                        assert_eq!(done, now + latency as u64);
+                        assert!(cap.is_none_or(|cap| outstanding.len() < cap));
                         outstanding.insert(line, done);
                     }
                 }
                 None => {
+                    let cap = cap.expect("an unbounded file never refuses");
                     assert!(
                         outstanding.len() >= cap,
                         "case {case}: refused below capacity"
@@ -131,7 +147,24 @@ fn mshr_merge_and_capacity() {
                     assert!(!outstanding.contains_key(&line));
                 }
             }
-            assert!(m.len() <= cap);
+            peak = peak.max(outstanding.len());
+            assert_eq!(m.len(), outstanding.len(), "case {case}: len");
+            assert_eq!(
+                m.is_empty(),
+                outstanding.is_empty(),
+                "case {case}: is_empty"
+            );
+            assert_eq!(
+                m.is_full(),
+                cap.is_some_and(|cap| outstanding.len() >= cap),
+                "case {case}: is_full"
+            );
+            assert_eq!(
+                m.next_completion(),
+                outstanding.values().min().copied(),
+                "case {case}: next_completion"
+            );
+            assert_eq!(m.peak(), peak, "case {case}: peak");
         }
     }
 }

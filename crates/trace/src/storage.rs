@@ -1293,8 +1293,11 @@ pub fn read_archive_info<R: Read + Seek>(mut r: R) -> Result<ArchiveInfo, Decode
 
 /// Sequentially verifies every chunk record of a v3 archive against
 /// its per-record checksum and the trailer totals, without decoding a
-/// single entry. Memory use is one chunk payload, regardless of
-/// archive size.
+/// single entry. Records are read in batches of up to four, and a
+/// batch's payloads together stay within the 512 MiB cap on one
+/// record's payload, so memory use is bounded regardless of archive
+/// size. A batch's checksums are folded in four interleaved FNV-1a
+/// lanes, which give the same values as hashing one record at a time.
 ///
 /// A cache can therefore establish, in one bounded pass at load time,
 /// that streaming any processor's chunks later cannot fail on damaged
@@ -1303,32 +1306,47 @@ pub fn read_archive_info<R: Read + Seek>(mut r: R) -> Result<ArchiveInfo, Decode
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] naming the first inconsistency.
+/// Returns a [`DecodeError`] naming the first inconsistency in file
+/// order.
 pub fn validate_archive_chunks<R: Read + Seek>(
+    r: R,
+    info: &ArchiveInfo,
+) -> Result<(), DecodeError> {
+    validate_chunks_batched(r, info, MAX_CHUNK_BYTES as usize)
+}
+
+/// Records hashed side by side by [`validate_archive_chunks`].
+const LANES: usize = 4;
+
+/// [`validate_archive_chunks`] with the batch payload cap as a
+/// parameter, so tests can force short batches.
+///
+/// Each batch reads up to [`LANES`] records, checking headers in file
+/// order, then verifies their checksums. A structural error (bad
+/// header, short read) found in record `k` of a batch is reported only
+/// after records `0..k` have been hashed, so a damaged checksum earlier
+/// in the file still wins, exactly as in a one-record-at-a-time walk.
+/// Per-processor totals advance as headers pass their checks; if a
+/// checksum then fails, that error is returned before anything the
+/// advanced totals could have caused.
+fn validate_chunks_batched<R: Read + Seek>(
     mut r: R,
     info: &ArchiveInfo,
+    max_batch_bytes: usize,
 ) -> Result<(), DecodeError> {
     r.seek(SeekFrom::Start(info.chunks_start))?;
     let mut seen = vec![ProcTotals::default(); info.totals.len()];
-    let mut buf = Vec::new();
-    while let Some(h) = read_chunk_header(&mut r)? {
-        let proc = h.proc as usize;
-        let Some(acc) = seen.get_mut(proc) else {
-            return Err(DecodeError::BadCode {
-                what: "chunk processor index",
-                code: h.proc as u64,
-            });
-        };
-        if h.first_index != acc.entries {
-            return Err(DecodeError::BadCode {
-                what: "chunk first index",
-                code: h.first_index,
-            });
+    let mut batch = Batch {
+        records: Vec::with_capacity(LANES),
+        buf: Vec::new(),
+        carried: None,
+    };
+    loop {
+        let more = batch.fill(&mut r, &mut seen, max_batch_bytes);
+        batch.verify()?;
+        if !more? {
+            break;
         }
-        read_chunk_payload(&mut r, &h, &mut buf)?;
-        acc.entries += h.entry_count as u64;
-        acc.mem_entries += h.meta.mem_entries as u64;
-        acc.max_latency = acc.max_latency.max(h.meta.max_latency);
     }
     if seen != info.totals {
         return Err(DecodeError::BadCode {
@@ -1337,6 +1355,125 @@ pub fn validate_archive_chunks<R: Read + Seek>(
         });
     }
     Ok(())
+}
+
+/// Up to [`LANES`] chunk records read for checksum verification.
+struct Batch {
+    records: Vec<BatchRecord>,
+    /// The records' payloads, back to back.
+    buf: Vec<u8>,
+    /// A header already read but left for the next batch by the cap.
+    carried: Option<ChunkHeader>,
+}
+
+/// One record of a [`Batch`]: its header, where its payload sits in
+/// the batch buffer, and its stored checksum.
+struct BatchRecord {
+    raw: [u8; 28],
+    payload: std::ops::Range<usize>,
+    stored: u64,
+}
+
+impl Batch {
+    /// Replaces the batch with the next records, checking each header
+    /// against the totals `seen` so far and advancing them. Stops
+    /// early at the end sentinel (returning `false`), before a record
+    /// that would take the payloads past `max_bytes`, and at the
+    /// first error, which the caller reports after verifying the
+    /// records read before it.
+    fn fill<R: Read>(
+        &mut self,
+        r: &mut R,
+        seen: &mut [ProcTotals],
+        max_bytes: usize,
+    ) -> Result<bool, DecodeError> {
+        self.records.clear();
+        self.buf.clear();
+        while self.records.len() < LANES {
+            let h = match self.carried.take() {
+                Some(h) => h,
+                None => match read_chunk_header(r)? {
+                    Some(h) => h,
+                    None => return Ok(false),
+                },
+            };
+            if !self.records.is_empty() && self.buf.len() + h.byte_len as usize > max_bytes {
+                self.carried = Some(h);
+                break;
+            }
+            let Some(acc) = seen.get_mut(h.proc as usize) else {
+                return Err(DecodeError::BadCode {
+                    what: "chunk processor index",
+                    code: h.proc as u64,
+                });
+            };
+            if h.first_index != acc.entries {
+                return Err(DecodeError::BadCode {
+                    what: "chunk first index",
+                    code: h.first_index,
+                });
+            }
+            acc.entries += h.entry_count as u64;
+            acc.mem_entries += h.meta.mem_entries as u64;
+            acc.max_latency = acc.max_latency.max(h.meta.max_latency);
+            let start = self.buf.len();
+            self.buf.resize(start + h.byte_len as usize, 0);
+            r.read_exact(&mut self.buf[start..])?;
+            let stored = u64::from_le_bytes(read_exact(r)?);
+            self.records.push(BatchRecord {
+                raw: h.raw,
+                payload: start..self.buf.len(),
+                stored,
+            });
+        }
+        Ok(true)
+    }
+
+    /// Verifies the records' checksums; the first mismatch in file
+    /// order is the error.
+    fn verify(&self) -> Result<(), DecodeError> {
+        let Some(first) = self.records.first() else {
+            return Ok(());
+        };
+        // A short batch fills its spare lanes with the first record and
+        // ignores their results.
+        let pick = |lane: usize| self.records.get(lane).unwrap_or(first);
+        let start = |lane: usize| fnv1a_fold(FNV_OFFSET, &pick(lane).raw);
+        let payload = |lane: usize| &self.buf[pick(lane).payload.clone()];
+        let computed = fnv1a_fold_lanes(
+            [start(0), start(1), start(2), start(3)],
+            [payload(0), payload(1), payload(2), payload(3)],
+        );
+        for (record, computed) in self.records.iter().zip(computed) {
+            if record.stored != computed {
+                return Err(DecodeError::BadChecksum {
+                    stored: record.stored,
+                    computed,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// `fnv1a_fold(h[i], bytes[i])` for four lanes at once. One FNV-1a
+/// hash is a serial chain of multiplies, so it runs at multiply
+/// latency; interleaving four independent chains over their common
+/// prefix keeps four multiplies in flight. Each tail finishes
+/// serially.
+fn fnv1a_fold_lanes(mut h: [u64; LANES], bytes: [&[u8]; LANES]) -> [u64; LANES] {
+    let common = bytes.iter().map(|b| b.len()).min().unwrap_or(0);
+    let [b0, b1, b2, b3] = bytes.map(|b| &b[..common]);
+    for (((&x0, &x1), &x2), &x3) in b0.iter().zip(b1).zip(b2).zip(b3) {
+        h[0] = (h[0] ^ x0 as u64).wrapping_mul(FNV_PRIME);
+        h[1] = (h[1] ^ x1 as u64).wrapping_mul(FNV_PRIME);
+        h[2] = (h[2] ^ x2 as u64).wrapping_mul(FNV_PRIME);
+        h[3] = (h[3] ^ x3 as u64).wrapping_mul(FNV_PRIME);
+    }
+    for (h, b) in h.iter_mut().zip(bytes) {
+        *h = fnv1a_fold(*h, &b[common..]);
+    }
+    h
 }
 
 /// A [`TraceSource`] streaming one processor's chunks out of a v3
@@ -1746,6 +1883,131 @@ mod tests {
                 Ok(info) => validate_archive_chunks(io::Cursor::new(&buf), &info).is_err(),
             };
             assert!(damaged, "case {case}: flip at byte {pos} went undetected");
+        }
+    }
+
+    /// The one-record-at-a-time walk [`validate_archive_chunks`]
+    /// replaced: read a header, check it, read and hash its payload,
+    /// then move on.
+    fn validate_archive_chunks_serial<R: Read + Seek>(
+        mut r: R,
+        info: &ArchiveInfo,
+    ) -> Result<(), DecodeError> {
+        r.seek(SeekFrom::Start(info.chunks_start))?;
+        let mut seen = vec![ProcTotals::default(); info.totals.len()];
+        let mut buf = Vec::new();
+        while let Some(h) = read_chunk_header(&mut r)? {
+            let proc = h.proc as usize;
+            let Some(acc) = seen.get_mut(proc) else {
+                return Err(DecodeError::BadCode {
+                    what: "chunk processor index",
+                    code: h.proc as u64,
+                });
+            };
+            if h.first_index != acc.entries {
+                return Err(DecodeError::BadCode {
+                    what: "chunk first index",
+                    code: h.first_index,
+                });
+            }
+            read_chunk_payload(&mut r, &h, &mut buf)?;
+            acc.entries += h.entry_count as u64;
+            acc.mem_entries += h.meta.mem_entries as u64;
+            acc.max_latency = acc.max_latency.max(h.meta.max_latency);
+        }
+        if seen != info.totals {
+            return Err(DecodeError::BadCode {
+                what: "per-processor totals",
+                code: 0,
+            });
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn fnv1a_lanes_match_the_serial_fold() {
+        let mut rng = XorShift64::seed_from_u64(0x4A);
+        let data: Vec<u8> = (0..600).map(|_| rng.next_u64() as u8).collect();
+        for case in 0..64 {
+            let cut = |rng: &mut XorShift64| {
+                let start = rng.range_usize(data.len());
+                &data[start..start + rng.range_usize(data.len() - start + 1)]
+            };
+            let bytes = [cut(&mut rng), cut(&mut rng), cut(&mut rng), cut(&mut rng)];
+            let seeds = [0, 1, 2, 3].map(|i| FNV_OFFSET ^ i);
+            let want = [0, 1, 2, 3].map(|i| fnv1a_fold(seeds[i], bytes[i]));
+            assert_eq!(fnv1a_fold_lanes(seeds, bytes), want, "case {case}");
+        }
+    }
+
+    #[test]
+    fn batched_validation_matches_the_serial_walk_on_every_flip_and_cut() {
+        // Eleven records of uneven lengths from three interleaved
+        // processors: two full batches of four and a short one of
+        // three, with lanes of different lengths in every batch.
+        let mut rng = XorShift64::seed_from_u64(0x5B);
+        let lens = [5usize, 1, 9, 3, 14, 2, 7, 11, 4, 6, 13];
+        let mut a = lookahead_isa::Assembler::new();
+        a.halt();
+        let program = a.assemble().unwrap();
+        let mut file = Vec::new();
+        let mut w = ArchiveWriter::new(&mut file, "k", "APP", 3, &program).unwrap();
+        let mut next_index = [0u64; 3];
+        for (i, &len) in lens.iter().enumerate() {
+            let proc = [0, 2, 1, 0, 0, 1, 2, 2, 0, 1, 0][i];
+            let entries: Vec<TraceEntry> = (0..len).map(|_| gen_entry(&mut rng)).collect();
+            w.accept(proc, &TraceChunk::from_slice(next_index[proc], &entries))
+                .unwrap();
+            next_index[proc] += len as u64;
+        }
+        w.finish(0, 1, &[Breakdown::default(); 3]).unwrap();
+        let info = read_archive_info(io::Cursor::new(&file)).unwrap();
+        let trailer_len = u32::from_le_bytes(file[file.len() - 4..].try_into().unwrap());
+        let chunks_end = file.len() - trailer_len as usize - 12;
+        let chunks = info.chunks_start as usize..chunks_end;
+
+        // Batch caps: the real one, one that splits batches after two
+        // or three records, and one that leaves a record per batch.
+        let caps = [MAX_CHUNK_BYTES as usize, 160, 1];
+        let mut outcomes = std::collections::BTreeMap::<&str, usize>::new();
+        let mut check = |bytes: &[u8], what: &str| {
+            let serial = validate_archive_chunks_serial(io::Cursor::new(bytes), &info);
+            let variant = match &serial {
+                Ok(()) => "Ok",
+                Err(DecodeError::BadChecksum { .. }) => "BadChecksum",
+                Err(DecodeError::BadCode { .. }) => "BadCode",
+                Err(DecodeError::Io(_)) => "Io",
+                Err(_) => "other",
+            };
+            *outcomes.entry(variant).or_default() += 1;
+            // `DecodeError` holds an `io::Error`, so compare the debug
+            // forms: variant, fields and I/O error kind alike.
+            let want = format!("{serial:?}");
+            for cap in caps {
+                let got = format!(
+                    "{:?}",
+                    validate_chunks_batched(io::Cursor::new(bytes), &info, cap)
+                );
+                assert_eq!(got, want, "{what}, batch cap {cap}");
+            }
+        };
+        check(&file, "clean archive");
+        for pos in chunks.clone() {
+            for mask in [0x01u8, 0x80] {
+                let mut damaged = file.clone();
+                damaged[pos] ^= mask;
+                check(&damaged, &format!("byte {pos} ^ {mask:#04x}"));
+            }
+        }
+        for len in chunks.start..=chunks.end {
+            check(&file[..len], &format!("cut at {len}"));
+        }
+        // Every kind of first error the walk can meet came up.
+        for variant in ["Ok", "BadChecksum", "BadCode", "Io"] {
+            assert!(
+                outcomes.contains_key(variant),
+                "no {variant} in {outcomes:?}"
+            );
         }
     }
 
